@@ -27,5 +27,6 @@ race:
 chaos:
 	$(GO) test -race -count=2 ./internal/faultinject/ ./internal/faulttol/
 	$(GO) test -race -run 'Facade|Chaos|Cancel|Checkpoint|Resume|Kill' . ./internal/core/ ./internal/checkpoint/
+	$(GO) test -race -cpu 1,2,4 -run 'Golden|Streamed|Checkpoint|Resume|Chaos' . ./internal/core/
 
 ci: vet build race chaos

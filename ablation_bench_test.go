@@ -174,45 +174,6 @@ func BenchmarkAblationChannelCount(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAdder compares the paper's row-parallel adder
-// against the mutex-serialized subgrid-parallel alternative it
-// rejects for its "prohibitive synchronization costs".
-func BenchmarkAblationAdder(b *testing.B) {
-	k, err := NewKernels(Params{
-		GridSize: 1024, SubgridSize: 24, ImageSize: 0.1,
-		Frequencies: []float64{150e6},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rnd := newTestRand(12)
-	subgrids := make([]*grid.Subgrid, 512)
-	for i := range subgrids {
-		x0 := int(480 * (rnd() + 1) / 2)
-		y0 := int(480 * (rnd() + 1) / 2)
-		s := grid.NewSubgrid(24, x0, y0)
-		for c := range s.Data {
-			for j := range s.Data[c] {
-				s.Data[c][j] = complex(rnd(), rnd())
-			}
-		}
-		subgrids[i] = s
-	}
-	g := NewGrid(1024)
-	b.Run("row-parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			k.Adder(subgrids, g)
-		}
-		b.ReportMetric(float64(b.N)*float64(len(subgrids))/b.Elapsed().Seconds(), "subgrids/s")
-	})
-	b.Run("mutex-serialized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			k.AdderSerialLocked(subgrids, g)
-		}
-		b.ReportMetric(float64(b.N)*float64(len(subgrids))/b.Elapsed().Seconds(), "subgrids/s")
-	})
-}
-
 // BenchmarkAblationTmax sweeps the work-item time bound: small T~max
 // creates more subgrids (more FFT/adder work per visibility), large
 // T~max risks load imbalance; the plan statistics quantify the trade.

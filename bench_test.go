@@ -370,11 +370,18 @@ func BenchmarkFullGriddingPass(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		times = t
+		times.Add(t)
 	}
-	st := obs.Plan.Stats()
-	b.ReportMetric(float64(st.NrGriddedVisibilities)/times.Total().Seconds()/1e6, "MVis/s")
+	reportPassRate(b, obs)
 	b.ReportMetric(100*times.Gridder.Seconds()/times.Total().Seconds(), "gridder-%")
+}
+
+// reportPassRate reports a pass benchmark's throughput on wall-clock
+// time. StageTimes are busy time summed over workers, so they cannot
+// give a pass rate.
+func reportPassRate(b *testing.B, obs *Observation) {
+	vis := float64(b.N) * float64(obs.Plan.Stats().NrGriddedVisibilities)
+	b.ReportMetric(vis/b.Elapsed().Seconds()/1e6, "MVis/s")
 }
 
 func BenchmarkFullDegriddingPass(b *testing.B) {
@@ -390,16 +397,12 @@ func BenchmarkFullDegriddingPass(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	var times StageTimes
 	for i := 0; i < b.N; i++ {
-		t, err := obs.Kernels.DegridVisibilities(context.Background(), obs.Plan, out, nil, g)
-		if err != nil {
+		if _, err := obs.Kernels.DegridVisibilities(context.Background(), obs.Plan, out, nil, g); err != nil {
 			b.Fatal(err)
 		}
-		times = t
 	}
-	st := obs.Plan.Stats()
-	b.ReportMetric(float64(st.NrGriddedVisibilities)/times.Total().Seconds()/1e6, "MVis/s")
+	reportPassRate(b, obs)
 }
 
 // BenchmarkGridFFT2048 measures the serial centered transform of one

@@ -15,10 +15,10 @@ import (
 	"repro/internal/obs"
 )
 
-// checkpointGoldenObservation builds the golden observation with
-// bit-deterministic streaming (one shard, one worker) checkpointing
-// into dir every 2 chunks, with hook installed as the crash-injection
-// seam. Chunks of 32 items cut the golden plan into enough epochs to
+// checkpointGoldenObservation builds the golden observation with two
+// workers checkpointing into dir every 2 chunks, with hook installed
+// as the crash-injection seam: the hook fires on whichever worker
+// commits, and a kill must still unwind the pass on the caller. Chunks of 32 items cut the golden plan into enough epochs to
 // place kills before, between and after snapshots.
 func checkpointGoldenObservation(t *testing.T, dir string, hook CheckpointHook, observer *Observer) *Observation {
 	t.Helper()
@@ -26,6 +26,7 @@ func checkpointGoldenObservation(t *testing.T, dir string, hook CheckpointHook, 
 	o.Config.CheckpointDir = dir
 	o.Config.CheckpointEvery = 2
 	p := o.Kernels.Params()
+	p.Workers = 2
 	p.GridShards = 1
 	p.StreamChunkItems = 32
 	p.CheckpointDir = dir

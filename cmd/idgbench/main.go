@@ -62,9 +62,9 @@ func run() int {
 	flag.BoolVar(&showMetrics, "metrics", false,
 		"print the pipeline metrics registry after the measured experiment")
 	flag.IntVar(&gridShards, "grid-shards", 0,
-		"shard the uv-grid into this many locked row bands and stream the measured gridding pass (0: classic batch pipeline)")
+		"row bands of the sharded grid (0: one per worker); the measured pass commits through one writer, so its bits never depend on it")
 	flag.IntVar(&maxInflight, "max-inflight", 0,
-		"bound on in-flight streaming chunks of the measured experiment; implies streaming when set (0: 2x workers)")
+		"bound on chunks between pull and commit in the measured experiment (0: 2x workers)")
 	flag.Parse()
 
 	if *cpuprofile != "" {

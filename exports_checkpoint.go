@@ -31,8 +31,8 @@ type (
 
 // Checkpoint protocol events (crash points for the chaos harness).
 const (
-	// CheckpointChunkCommitted fires after a chunk is added to the
-	// grid (serial scheduler only).
+	// CheckpointChunkCommitted fires after a chunk is committed onto
+	// the grid, for every chunk in plan order.
 	CheckpointChunkCommitted = checkpoint.EventChunkCommitted
 	// CheckpointBeforeWrite fires at a checkpoint barrier before the
 	// snapshot file is opened.
@@ -94,9 +94,9 @@ func (o *Observation) checkSnapshot(sn *CheckpointSnapshot) error {
 // same cursors the uninterrupted run would have used). Unusable
 // newest checkpoints fall back to their predecessors; a directory
 // with no usable checkpoint degrades to a clean full run. Either way
-// the fallback is recorded as a note in the returned report, and with
-// the bit-reproducible settings (Workers <= 1, GridShards <= 1) the
-// resumed grid is bit-identical to an uninterrupted pass.
+// the fallback is recorded as a note in the returned report. The
+// resumed grid is bit-identical to an uninterrupted pass at any
+// worker and shard count.
 //
 // The observation must be built with the same configuration and data
 // as the interrupted run: a snapshot from a different plan, grid size

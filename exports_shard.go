@@ -8,7 +8,7 @@ import (
 )
 
 // Sharded-grid re-exports: the row-band-partitioned uv-grid accessor
-// behind the streaming gridding pipeline. Most callers only set
+// the pass engine commits onto. Most callers only set
 // ObservationConfig.GridShards / MaxInflightChunks and never touch
 // these types; they are exported for tests and for callers that drive
 // the sharded adder/splitter directly.
@@ -22,22 +22,23 @@ type ShardedGrid = grid.Sharded
 // of row bands (clamped to [1, GridSize]).
 func NewShardedGrid(g *Grid, shards int) *ShardedGrid { return grid.NewSharded(g, shards) }
 
-// GridAllStreamed grids every visibility through the sharded
-// streaming scheduler onto a fresh grid, regardless of the
-// configuration's GridShards/MaxInflightChunks opt-in, and returns the
-// grid with the stage times and the fault report. The sharded grid's
-// shard count follows ObservationConfig.GridShards (default: one
-// shard per worker). With ObservationConfig.CheckpointDir set the
-// pass writes durable snapshots as it goes; see
-// Observation.ResumeStreamed for continuing an interrupted pass.
+// GridAllStreamed grids every visibility onto a fresh grid through a
+// sharded accessor and returns the grid with the stage times and the
+// fault report. The accessor's shard count follows
+// ObservationConfig.GridShards (default: one shard per worker); it
+// sizes the row-band locks only, and the grid is bit-identical to
+// GridAll's at any worker and shard count. With
+// ObservationConfig.CheckpointDir set the pass writes durable
+// snapshots as it goes; see Observation.ResumeStreamed for continuing
+// an interrupted pass.
 //
 // Cancellation: when ctx is canceled mid-pass the returned error
 // matches errors.Is(err, ErrCanceled) (and the context's own
 // sentinel) even when the cancellation surfaced inside a retry layer.
 // The returned grid is still the partially filled grid: it holds
-// exactly the chunks whose add stage completed — every value finite
-// and correctly accumulated, but covering only part of the plan — so
-// it is suitable for inspection or checkpointing, not for imaging.
+// exactly the chunks committed before the cancellation — an exact
+// plan prefix, every value finite and correctly accumulated — so it
+// is suitable for inspection or checkpointing, not for imaging.
 func (o *Observation) GridAllStreamed(ctx context.Context, prov ATermProvider, ft FaultConfig) (*Grid, StageTimes, *FaultReport, error) {
 	if o.Vis == nil {
 		return nil, StageTimes{}, nil, fmt.Errorf("repro: visibilities not allocated")

@@ -96,6 +96,8 @@ func TestAdderAccumulatesOverlaps(t *testing.T) {
 	}
 }
 
+// TestAdderVariantsAgree: the row-band Adder and the one-shard
+// AdderSharded add every pixel in batch order, so they agree bitwise.
 func TestAdderVariantsAgree(t *testing.T) {
 	k := testKernels(t, 64, 16)
 	rnd := newTestRand(2)
@@ -111,23 +113,49 @@ func TestAdderVariantsAgree(t *testing.T) {
 	}
 	g1 := grid.NewGrid(64)
 	k.Adder(subgrids, g1)
-	g2 := grid.NewGrid(64)
-	k.AdderSerialLocked(subgrids, g2)
-	if d := g1.MaxAbsDiff(g2); d > 1e-12 {
+	sh := grid.NewSharded(grid.NewGrid(64), 1)
+	k.AdderSharded(subgrids, sh)
+	if d := g1.MaxAbsDiff(sh.Master()); d != 0 {
 		t.Fatalf("adder variants differ by %g", d)
 	}
 }
 
+// TestAdderPanicsOnOutOfBounds: an out-of-bounds subgrid must panic on
+// the caller's goroutine for every adder and splitter — with two
+// workers the batch fans out, and a panic inside a worker goroutine
+// would kill the process instead.
 func TestAdderPanicsOnOutOfBounds(t *testing.T) {
-	k := testKernels(t, 64, 16)
-	g := grid.NewGrid(64)
-	s := grid.NewSubgrid(16, 60, 0) // sticks out
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	k, err := NewKernels(Params{
+		GridSize: 64, SubgridSize: 16, ImageSize: 0.1,
+		Frequencies: []float64{150e6}, Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func() []*grid.Subgrid {
+		// Enough in-bounds subgrids that every variant fans out, with
+		// the out-of-bounds one last.
+		out := make([]*grid.Subgrid, 8)
+		for i := range out {
+			out[i] = grid.NewSubgrid(16, 4*i, 4*i)
 		}
-	}()
-	k.Adder([]*grid.Subgrid{s}, g)
+		return append(out, grid.NewSubgrid(16, 60, 0)) // sticks out
+	}
+	for name, run := range map[string]func(){
+		"Adder":           func() { k.Adder(batch(), grid.NewGrid(64)) },
+		"Splitter":        func() { k.Splitter(grid.NewGrid(64), batch()) },
+		"AdderSharded":    func() { k.AdderSharded(batch(), grid.NewSharded(grid.NewGrid(64), 4)) },
+		"SplitterSharded": func() { k.SplitterSharded(grid.NewSharded(grid.NewGrid(64), 4), batch()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a panic on the calling goroutine", name)
+				}
+			}()
+			run()
+		}()
+	}
 }
 
 func TestFFTSubgridsRoundtrip(t *testing.T) {

@@ -137,30 +137,27 @@ type Params struct {
 	// changes per-pixel accumulation order, so results are identical
 	// for every block size.
 	VisBlockTimesteps int
-	// GridShards splits the master uv-grid into this many independently
-	// locked row bands for the sharded adder/splitter and enables the
-	// streaming scheduler in the gridding pipelines. 0 (the default)
-	// keeps the classic in-core batch pipeline; 1 is a single-shard
-	// (one-lock) sharded path that accumulates in exact plan order and
-	// reproduces the serial grid bit-for-bit; > 1 trades bitwise
-	// reproducibility (reordering changes float association, ~1e-15
-	// relative) for adder/splitter scaling. Values above the grid size
-	// are clamped.
+	// GridShards is the number of independently locked row bands
+	// NewShardedGrid splits the master uv-grid into, for the sharded
+	// adder/splitter and for coherent SplitterSharded reads against a
+	// running pass. 0 (the default) selects one shard per worker.
+	// Values above the grid size are rejected. Passes commit in plan
+	// order through one writer, so the shard count never changes a
+	// pass's bits.
 	GridShards int
-	// MaxInflightChunks bounds how many streaming chunks may be between
-	// gridder and adder at once, which bounds peak subgrid memory at
+	// MaxInflightChunks bounds how many chunks of a pass may be between
+	// pull and commit at once, which bounds peak subgrid memory at
 	// MaxInflightChunks x StreamChunkItems subgrids. <= 0 selects
-	// 2 x workers when streaming is enabled.
+	// 2 x workers.
 	MaxInflightChunks int
-	// StreamChunkItems is the number of work items per streaming chunk;
-	// <= 0 selects DefaultStreamChunkItems.
+	// StreamChunkItems is the number of work items per chunk, the unit
+	// of in-order commit and of the checkpoint cursor; <= 0 selects
+	// DefaultStreamChunkItems.
 	StreamChunkItems int
-	// CheckpointDir, when non-empty, makes the streamed gridding pass
-	// write a durable snapshot (grid + chunk cursor + fault report,
-	// see internal/checkpoint) into this directory every
-	// CheckpointEvery chunks and once more at the end. Setting it
-	// enables the streaming scheduler like GridShards and
-	// MaxInflightChunks do.
+	// CheckpointDir, when non-empty, makes gridding passes write a
+	// durable snapshot (grid + chunk cursor + fault report, see
+	// internal/checkpoint) into this directory every CheckpointEvery
+	// chunks and once more at the end.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint period in streamed chunks;
 	// <= 0 with a CheckpointDir selects DefaultCheckpointEvery.
@@ -197,14 +194,6 @@ type Params struct {
 	// IDG_SIMD=scalar as far as tile selection goes, but scoped to one
 	// Kernels value instead of the process.
 	DisableVectorKernels bool
-	// DisableFastFFT routes the subgrid FFT stage through the seed
-	// implementation — rotate-based fftshift passes around a
-	// per-column gather/scatter radix-2 transform — instead of the
-	// fused-centering radix-4 engine with blocked column tiles (used
-	// by the ablation benchmarks and the new-vs-old equivalence tests;
-	// results agree to ~1e-15 relative, the reordered-summation
-	// rounding class).
-	DisableFastFFT bool
 
 	// forceSIMD pins the dispatch tier of this Kernels value,
 	// overriding xmath.ActiveSIMD (still clamped to the detected
@@ -263,14 +252,6 @@ func (p *Params) workers() int {
 	return p.Workers
 }
 
-// streamingEnabled reports whether the gridding pipelines should route
-// through the sharded streaming scheduler. Any of the knobs opts in
-// (checkpointing is only defined for streamed passes: the chunk cursor
-// is its unit of progress); the others then take their defaults.
-func (p *Params) streamingEnabled() bool {
-	return p.GridShards > 0 || p.MaxInflightChunks > 0 || p.CheckpointDir != ""
-}
-
 // checkpointEnabled reports whether streamed passes write durable
 // snapshots.
 func (p *Params) checkpointEnabled() bool { return p.CheckpointDir != "" }
@@ -284,7 +265,7 @@ func (p *Params) checkpointEvery() int {
 }
 
 // gridShards resolves the shard count: the configured value, or one
-// shard per worker when only MaxInflightChunks opted into streaming.
+// shard per worker.
 func (p *Params) gridShards() int {
 	if p.GridShards > 0 {
 		return p.GridShards
@@ -292,8 +273,8 @@ func (p *Params) gridShards() int {
 	return p.workers()
 }
 
-// maxInflight resolves the in-flight chunk bound; the default keeps
-// every worker busy with one chunk while another is staged.
+// maxInflight resolves the in-flight chunk bound; the default lets
+// every worker run two chunks ahead of the commit cursor.
 func (p *Params) maxInflight() int {
 	if p.MaxInflightChunks > 0 {
 		return p.MaxInflightChunks
@@ -301,7 +282,7 @@ func (p *Params) maxInflight() int {
 	return 2 * p.workers()
 }
 
-// chunkItems resolves the streaming chunk size in work items.
+// chunkItems resolves the chunk size in work items.
 func (p *Params) chunkItems() int {
 	if p.StreamChunkItems > 0 {
 		return p.StreamChunkItems
@@ -309,7 +290,7 @@ func (p *Params) chunkItems() int {
 	return DefaultStreamChunkItems
 }
 
-// StreamChunkItemsResolved returns the effective streaming chunk size
+// StreamChunkItemsResolved returns the effective chunk size
 // (the configured value or its default). Resume validation compares it
 // against a checkpoint's recorded chunk size: the chunk cursor is only
 // meaningful relative to the chunking it was counted in.

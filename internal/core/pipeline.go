@@ -2,16 +2,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/aterm"
 	"repro/internal/faulttol"
 	"repro/internal/grid"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/uvwsim"
 	"repro/internal/xmath"
@@ -181,8 +177,11 @@ func (vs *VisibilitySet) itemUVW(item plan.WorkItem) []uvwsim.UVW {
 	return vs.UVW[item.Baseline][item.TimeStart : item.TimeStart+item.NrTimesteps]
 }
 
-// StageTimes records the wall-clock time spent per pipeline stage,
-// the Go-measured analogue of the paper's Fig. 9 runtime distribution.
+// StageTimes records the time spent per pipeline stage, the
+// Go-measured analogue of the paper's Fig. 9 runtime distribution.
+// Each field is the stage's busy time summed over all workers of the
+// pass, so on a parallel pass Total() exceeds the pass's wall time;
+// rates of a whole pass belong on wall-clock time instead.
 type StageTimes struct {
 	Gridder    time.Duration
 	Degridder  time.Duration
@@ -205,15 +204,17 @@ func (s *StageTimes) Add(other StageTimes) {
 	s.Splitter += other.Splitter
 }
 
-// DefaultWorkGroupSize is the number of work items processed per
-// pipeline round; it bounds the subgrid buffer memory the same way
-// the paper's work groups bound the GPU device buffers.
+// DefaultWorkGroupSize is the work-group size of the paper's batch
+// pipeline (Plan.WorkGroups): the number of work items whose subgrid
+// buffers one round keeps resident, as the paper's work groups bound
+// the GPU device buffers. The pass engine bounds the same memory with
+// StreamChunkItems x MaxInflightChunks instead.
 const DefaultWorkGroupSize = 1024
 
 // newATermCache builds the run-level A-term cache; it lives for a
-// whole gridding or degridding pass so maps computed for one work
-// group are reused by every later group that shares the (station,
-// slot). A nil provider yields a nil cache (identity fast path).
+// whole gridding or degridding pass so a map computed once is reused
+// by every later item that shares the (station, slot). A nil provider
+// yields a nil cache (identity fast path).
 func (k *Kernels) newATermCache(prov aterm.Provider) *aterm.Cache {
 	if prov == nil {
 		return nil
@@ -221,9 +222,9 @@ func (k *Kernels) newATermCache(prov aterm.Provider) *aterm.Cache {
 	return aterm.NewCache(prov, k.params.SubgridSize, k.params.ImageSize)
 }
 
-// planeOf returns the W-layer shared by every item of a group, or -1
-// when the group is empty or mixes layers (only W-stacked passes plan
-// per-layer, so a mixed group has no single layer to attribute to).
+// planeOf returns the W-layer shared by every item of a chunk, or -1
+// when the chunk is empty or mixes layers (only W-stacked passes plan
+// per-layer, so a mixed chunk has no single layer to attribute to).
 func planeOf(items []plan.WorkItem) int {
 	if len(items) == 0 {
 		return -1
@@ -238,9 +239,9 @@ func planeOf(items []plan.WorkItem) int {
 }
 
 // prefillATerms serially warms the cache with every (station, slot)
-// pair a group of work items needs. aterm.Cache is not safe for
-// concurrent writes, but after this prefill every worker Get is a
-// read-only hit, so the fan-out needs no locking.
+// pair the items need. aterm.Cache is not safe for concurrent writes,
+// but after this prefill every worker Get is a read-only hit, so the
+// workers need no locking.
 func (k *Kernels) prefillATerms(cache *aterm.Cache, items []plan.WorkItem, baselines []uvwsim.Baseline) {
 	if cache == nil {
 		return
@@ -252,13 +253,14 @@ func (k *Kernels) prefillATerms(cache *aterm.Cache, items []plan.WorkItem, basel
 	}
 }
 
-// GridVisibilities runs the full gridding pass of Fig. 4: gridder
-// kernel, subgrid FFTs, adder; group by group over the plan's work.
-// The grid is accumulated into (callers zero it first for a fresh
-// pass). It returns per-stage timings. The context cancels or
-// deadline-bounds the run (the error then wraps faulttol.ErrCanceled);
-// item failures abort the run (fail-fast) — use GridVisibilitiesFT for
-// other policies.
+// GridVisibilities runs the full gridding pass of Fig. 4 — gridder
+// kernel, subgrid FFT, adder — over the plan's work items through the
+// pass engine (engine.go). The grid is accumulated into (callers zero
+// it first for a fresh pass) in plan order, so the result is bitwise
+// independent of the worker count. It returns per-stage busy times.
+// The context cancels or deadline-bounds the run (the error then wraps
+// faulttol.ErrCanceled); item failures abort the run (fail-fast) — use
+// GridVisibilitiesFT for other policies.
 func (k *Kernels) GridVisibilities(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid) (StageTimes, error) {
 	times, _, err := k.GridVisibilitiesFT(ctx, p, vs, prov, g, faulttol.Config{})
 	return times, err
@@ -269,98 +271,19 @@ func (k *Kernels) GridVisibilities(ctx context.Context, p *plan.Plan, vs *Visibi
 // becomes a typed per-item error instead of a crash; depending on
 // ft.Policy the item is retried, skipped (graceful degradation,
 // accounted in the returned report) or aborts the run. The report is
-// non-nil whenever the pipeline ran.
+// non-nil whenever the pipeline ran. With Params.CheckpointDir set the
+// pass writes checkpoints like GridVisibilitiesStreamed.
 func (k *Kernels) GridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid, ft faulttol.Config) (StageTimes, *faulttol.Report, error) {
-	var times StageTimes
 	rep := faulttol.NewReport(ft)
-	if err := k.checkPlan(p, vs); err != nil {
-		return times, rep, err
-	}
-	// Streaming opt-in reroutes the whole pass through the sharded
-	// chunk scheduler (see streaming.go); the classic batch path below
-	// stays the default.
-	if k.params.streamingEnabled() {
-		sh := grid.NewSharded(g, k.params.gridShards())
-		return k.GridVisibilitiesStreamed(ctx, p, vs, prov, sh, ft)
-	}
-	cache := k.newATermCache(prov)
-	// One subgrid-pointer table for the whole pass: work groups are at
-	// most DefaultWorkGroupSize items, so the table is sliced (and its
-	// slots cleared) per group instead of reallocated.
-	subgridBuf := make([]*grid.Subgrid, DefaultWorkGroupSize)
-	for gi, group := range p.WorkGroups(DefaultWorkGroupSize) {
-		if err := ctx.Err(); err != nil {
-			return times, rep, faulttol.Canceled(err)
-		}
-		k.prefillATerms(cache, group, vs.Baselines)
-		wp := planeOf(group)
-		subgrids := subgridBuf[:len(group)]
-		for i := range subgrids {
-			subgrids[i] = nil
-		}
-
-		start := time.Now()
-		err := k.runItems(ctx, obs.StageGrid, gi, group, ft, rep, func(i int, s *scratch, par int) error {
-			item := group[i]
-			sgr := k.getSubgrid(item.X0, item.Y0)
-			sgr.WOffset, sgr.WPlane = item.WOffset, item.WPlane
-			vis := s.visBuf(item.NrVisibilities())
-			vs.gather(item, vis)
-			if k.ob.enabled() {
-				k.ob.flaggedVis(vs.countFlagged(item))
-			}
-			ap, aq := k.lookupATerms(cache, vs.Baselines, item)
-			k.gridSubgridScratch(item, vs.itemUVW(item), vis, ap, aq, sgr, s, par)
-			if !sgr.Finite() {
-				k.putSubgrid(sgr)
-				return fmt.Errorf("%w: non-finite subgrid (corrupt unflagged visibilities)",
-					faulttol.ErrBadInput)
-			}
-			subgrids[i] = sgr
-			return nil
-		})
-		d := time.Since(start)
-		times.Gridder += d
-		k.ob.stageDone(obs.StageGrid, gi, wp, start, d)
-		if err != nil {
-			k.releaseSubgrids(subgrids)
-			return times, rep, err
-		}
-		// Under skip-and-flag, failed items leave nil subgrids that
-		// the FFT and adder stages pass over.
-		start = time.Now()
-		k.FFTSubgrids(subgrids)
-		d = time.Since(start)
-		times.SubgridFFT += d
-		k.ob.stageDone(obs.StageFFT, gi, wp, start, d)
-
-		start = time.Now()
-		k.Adder(subgrids, g)
-		d = time.Since(start)
-		times.Adder += d
-		k.ob.stageDone(obs.StageAdd, gi, wp, start, d)
-
-		k.releaseSubgrids(subgrids)
-	}
-	return times, rep, nil
-}
-
-// releaseSubgrids returns every non-nil subgrid of a work group to the
-// pool and clears the slots.
-func (k *Kernels) releaseSubgrids(subgrids []*grid.Subgrid) {
-	for i, s := range subgrids {
-		if s != nil {
-			k.putSubgrid(s)
-			subgrids[i] = nil
-		}
-	}
+	times, err := k.runPass(ctx, p, vs, prov, grid.NewSharded(g, 1), nil, ft, rep, 0)
+	return times, rep, err
 }
 
 // DegridVisibilities runs the full degridding pass of Fig. 4 in
-// reverse order: splitter, inverse subgrid FFTs, degridder kernel.
-// Predicted visibilities overwrite vs.Data. The context cancels the
-// run; item failures abort it (fail-fast) — use DegridVisibilitiesFT
-// for other policies.
+// reverse order — splitter, inverse subgrid FFT, degridder — per work
+// item through the pass engine. Predicted visibilities overwrite
+// vs.Data. The context cancels the run; item failures abort it
+// (fail-fast) — use DegridVisibilitiesFT for other policies.
 func (k *Kernels) DegridVisibilities(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid) (StageTimes, error) {
 	times, _, err := k.DegridVisibilitiesFT(ctx, p, vs, prov, g, faulttol.Config{})
 	return times, err
@@ -370,58 +293,9 @@ func (k *Kernels) DegridVisibilities(ctx context.Context, p *plan.Plan, vs *Visi
 // fault-tolerance policy; skipped items leave their visibility block
 // unwritten and are accounted in the returned report.
 func (k *Kernels) DegridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid, ft faulttol.Config) (StageTimes, *faulttol.Report, error) {
-	var times StageTimes
 	rep := faulttol.NewReport(ft)
-	if err := k.checkPlan(p, vs); err != nil {
-		return times, rep, err
-	}
-	cache := k.newATermCache(prov)
-	subgridBuf := make([]*grid.Subgrid, DefaultWorkGroupSize)
-	for gi, group := range p.WorkGroups(DefaultWorkGroupSize) {
-		if err := ctx.Err(); err != nil {
-			return times, rep, faulttol.Canceled(err)
-		}
-		k.prefillATerms(cache, group, vs.Baselines)
-		wp := planeOf(group)
-		subgrids := subgridBuf[:len(group)]
-		for i, item := range group {
-			// Pooled subgrids arrive with stale pixels; the splitter
-			// overwrites every pixel of every plane.
-			sgr := k.getSubgrid(item.X0, item.Y0)
-			sgr.WOffset, sgr.WPlane = item.WOffset, item.WPlane
-			subgrids[i] = sgr
-		}
-
-		start := time.Now()
-		k.Splitter(g, subgrids)
-		d := time.Since(start)
-		times.Splitter += d
-		k.ob.stageDone(obs.StageSplit, gi, wp, start, d)
-
-		start = time.Now()
-		k.InverseFFTSubgrids(subgrids)
-		d = time.Since(start)
-		times.SubgridFFT += d
-		k.ob.stageDone(obs.StageFFT, gi, wp, start, d)
-
-		start = time.Now()
-		err := k.runItems(ctx, obs.StageDegrid, gi, group, ft, rep, func(i int, s *scratch, par int) error {
-			item := group[i]
-			vis := s.visBuf(item.NrVisibilities())
-			ap, aq := k.lookupATerms(cache, vs.Baselines, item)
-			k.degridSubgridScratch(item, subgrids[i], vs.itemUVW(item), ap, aq, vis, s, par)
-			vs.scatter(item, vis)
-			return nil
-		})
-		d = time.Since(start)
-		times.Degridder += d
-		k.ob.stageDone(obs.StageDegrid, gi, wp, start, d)
-		k.releaseSubgrids(subgrids)
-		if err != nil {
-			return times, rep, err
-		}
-	}
-	return times, rep, nil
+	times, err := k.runPass(ctx, p, vs, prov, nil, g, ft, rep, 0)
+	return times, rep, err
 }
 
 // lookupATerms resolves a work item's two station maps from the warm
@@ -448,129 +322,6 @@ func (k *Kernels) checkPlan(p *plan.Plan, vs *VisibilitySet) error {
 		return fmt.Errorf("core: visibility set has %d channels, kernels have %d", vs.NrChannels, len(k.params.Frequencies))
 	}
 	return nil
-}
-
-// runItems executes fn(i, s, par) for every work item on the worker
-// pool with panic isolation, the configured failure policy, and
-// cooperative cancellation. Each worker checks one scratch arena out of
-// the kernel pool for its whole run and hands it to every fn call, so
-// the steady state of the hot path allocates nothing. A panic inside fn
-// (or the injection hook) becomes an ErrKernelPanic-wrapped ItemError;
-// errors.Is(err, ErrBadInput) failures are never retried. The returned
-// error is nil, the first fatal *faulttol.ItemError, or an ErrCanceled
-// wrapper.
-//
-// stage and group attribute the observer's per-item spans and counters
-// (see observe.go); with observation disabled they are unused and the
-// per-item cost is one nil check.
-//
-// par is the intra-item pixel-tile parallelism hint handed to fn: 1
-// while there are at least as many items as workers (item parallelism
-// alone saturates the pool), and ceil(workers/n) when a group is
-// smaller than the pool, so the spare workers pick up pixel tiles of
-// the in-flight items (runTiles) instead of idling.
-func (k *Kernels) runItems(ctx context.Context, stage obs.Stage, group int, items []plan.WorkItem, ft faulttol.Config, rep *faulttol.Report, fn func(i int, s *scratch, par int) error) error {
-	n := len(items)
-	if n == 0 {
-		return ctxErr(ctx)
-	}
-	par := 1
-	if w := k.params.workers(); w > n && !k.params.DisablePixelTiling {
-		par = (w + n - 1) / n
-	}
-	attempts := ft.Attempts()
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-
-	runOne := func(i, worker int, s *scratch) {
-		item := items[i]
-		t0 := k.ob.now()
-		var err error
-		made := 0
-		for a := 1; a <= attempts; a++ {
-			if runCtx.Err() != nil {
-				return
-			}
-			made = a
-			err = faulttol.Run(func() error {
-				if ft.Hook != nil {
-					ft.Hook(item, a)
-				}
-				return fn(i, s, par)
-			})
-			if err == nil {
-				rep.RecordSuccess(a > 1)
-				k.ob.itemDone(stage, group, worker, i, item, a, t0)
-				return
-			}
-			k.ob.attemptFailed(err)
-			if errors.Is(err, faulttol.ErrBadInput) {
-				break
-			}
-		}
-		ie := &faulttol.ItemError{
-			Baseline:  item.Baseline,
-			TimeStart: item.TimeStart,
-			Channel0:  item.Channel0,
-			Attempts:  made,
-			Err:       err,
-		}
-		if ft.Policy == faulttol.SkipAndFlag {
-			rep.RecordSkip(ie, int64(item.NrVisibilities()))
-			k.ob.itemSkipped(item)
-			return
-		}
-		fail(ie)
-	}
-
-	workers := k.params.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		s := k.getScratch()
-		defer k.putScratch(s)
-		for i := 0; i < n; i++ {
-			if runCtx.Err() != nil {
-				break
-			}
-			runOne(i, 0, s)
-		}
-	} else {
-		var wg sync.WaitGroup
-		var next int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(worker int) {
-				defer wg.Done()
-				s := k.getScratch()
-				defer k.putScratch(s)
-				for runCtx.Err() == nil {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= n {
-						return
-					}
-					runOne(i, worker, s)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctxErr(ctx)
 }
 
 // ctxErr converts a context error into the faulttol taxonomy.

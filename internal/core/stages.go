@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,11 +28,9 @@ func (k *Kernels) transformSubgrids(subgrids []*grid.Subgrid, inverse bool) {
 	if k.ob.enabled() {
 		k.ob.subgrids(k.ob.sgFFT, countLive(subgrids))
 	}
-	workers := k.params.workers()
-	if workers > len(subgrids) {
-		workers = len(subgrids)
-	}
-	if workers <= 1 {
+	if k.params.workers() <= 1 {
+		// Inline serial loop: a function value handed to fanOut escapes
+		// to the heap, and the single-worker stage allocates nothing.
 		for _, s := range subgrids {
 			if s != nil {
 				k.fftSubgridOne(s, inverse)
@@ -39,53 +38,37 @@ func (k *Kernels) transformSubgrids(subgrids []*grid.Subgrid, inverse bool) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	ch := make(chan *grid.Subgrid, len(subgrids))
-	for _, s := range subgrids {
-		// Skipped (nil) subgrids of a degraded run carry no data.
-		if s != nil {
-			ch <- s
-		}
-	}
-	close(ch)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range ch {
-				k.fftSubgridOne(s, inverse)
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(k.params.workers(), subgrids, func(_ int, s *grid.Subgrid) {
+		k.fftSubgridOne(s, inverse)
+	})
 }
 
 // fftSubgridOne transforms a single subgrid in place. The forward
 // transform is scaled by 1/N~^2 so that (a) gridding a visibility
 // deposits unit total weight onto the grid and (b) the degridding
 // pipeline is the exact adjoint of the gridding pipeline (the inverse
-// transform already carries the 1/N~^2 of fft.InverseCentered). The
-// streaming scheduler calls this directly so each chunk worker
-// transforms its own subgrids without a nested fan-out.
+// transform already carries the 1/N~^2 of fft.InverseCentered). All
+// four correlation planes go through the fused-centering batched path;
+// both directions carry the same 1/N~^2, so the scale folds into the
+// transform's output pass. The pass engine calls this per item, so
+// each worker transforms its own subgrid without a nested fan-out.
 func (k *Kernels) fftSubgridOne(s *grid.Subgrid, inverse bool) {
 	norm := complex(1/float64(k.params.SubgridSize*k.params.SubgridSize), 0)
-	if k.params.DisableFastFFT {
-		for c := 0; c < grid.NrCorrelations; c++ {
-			if inverse {
-				k.sgFFT.InverseCenteredLegacy(s.Data[c])
-			} else {
-				k.sgFFT.ForwardCenteredLegacy(s.Data[c])
-				for i := range s.Data[c] {
-					s.Data[c][i] *= norm
-				}
-			}
-		}
-		return
-	}
-	// All four correlation planes through the fused-centering batched
-	// path; both directions carry the same 1/N~^2, so the scale folds
-	// into the transform's output pass.
 	k.sgFFT.TransformPlanes(s.Data[:], inverse, norm)
+}
+
+// checkBatch validates a batch of subgrids against an n-pixel grid on
+// the calling goroutine, before any fan-out: a panic inside a worker
+// goroutine would kill the process instead of reaching the caller.
+func (k *Kernels) checkBatch(n int, subgrids []*grid.Subgrid) {
+	if n != k.params.GridSize {
+		panic("core: grid size does not match kernel parameters")
+	}
+	for _, s := range subgrids {
+		if s != nil && !s.InBounds(n) {
+			panic(fmt.Sprintf("core: subgrid (%d,%d)+%d outside %d-pixel grid", s.X0, s.Y0, s.N, n))
+		}
+	}
 }
 
 // Adder accumulates uv-domain subgrids onto the grid. Subgrids may
@@ -95,9 +78,7 @@ func (k *Kernels) fftSubgridOne(s *grid.Subgrid, inverse bool) {
 // and adds the intersecting slice of every subgrid, so no two workers
 // ever touch the same pixel.
 func (k *Kernels) Adder(subgrids []*grid.Subgrid, g *grid.Grid) {
-	if g.N != k.params.GridSize {
-		panic("core: grid size does not match kernel parameters")
-	}
+	k.checkBatch(g.N, subgrids)
 	if k.ob.enabled() {
 		k.ob.subgrids(k.ob.sgAdd, countLive(subgrids))
 	}
@@ -109,9 +90,6 @@ func (k *Kernels) Adder(subgrids []*grid.Subgrid, g *grid.Grid) {
 		for _, s := range subgrids {
 			if s == nil {
 				continue
-			}
-			if !s.InBounds(g.N) {
-				panic("core: subgrid outside grid")
 			}
 			lo, hi := s.Y0, s.Y0+s.N
 			if lo < rowLo {
@@ -160,52 +138,23 @@ func (k *Kernels) Adder(subgrids []*grid.Subgrid, g *grid.Grid) {
 // over subgrids (Section V-B-d). Each destination subgrid must already
 // carry its anchor (X0, Y0).
 func (k *Kernels) Splitter(g *grid.Grid, subgrids []*grid.Subgrid) {
-	if g.N != k.params.GridSize {
-		panic("core: grid size does not match kernel parameters")
-	}
+	k.checkBatch(g.N, subgrids)
 	if k.ob.enabled() {
 		k.ob.subgrids(k.ob.sgSplit, countLive(subgrids))
 	}
-	split := func(s *grid.Subgrid) {
-		if s == nil {
-			return
+	fanOut(k.params.workers(), subgrids, func(_ int, s *grid.Subgrid) {
+		splitSubgrid(g, s)
+	})
+}
+
+// splitSubgrid copies the grid pixels under s into s.
+func splitSubgrid(g *grid.Grid, s *grid.Subgrid) {
+	for c := 0; c < grid.NrCorrelations; c++ {
+		for y := 0; y < s.N; y++ {
+			gy := s.Y0 + y
+			copy(s.Data[c][y*s.N:(y+1)*s.N], g.Data[c][gy*g.N+s.X0:gy*g.N+s.X0+s.N])
 		}
-		if !s.InBounds(g.N) {
-			panic("core: subgrid outside grid")
-		}
-		for c := 0; c < grid.NrCorrelations; c++ {
-			for y := 0; y < s.N; y++ {
-				gy := s.Y0 + y
-				copy(s.Data[c][y*s.N:(y+1)*s.N], g.Data[c][gy*g.N+s.X0:gy*g.N+s.X0+s.N])
-			}
-		}
 	}
-	workers := k.params.workers()
-	if workers > len(subgrids) {
-		workers = len(subgrids)
-	}
-	if workers <= 1 {
-		for _, s := range subgrids {
-			split(s)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	ch := make(chan *grid.Subgrid, len(subgrids))
-	for _, s := range subgrids {
-		ch <- s
-	}
-	close(ch)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range ch {
-				split(s)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // AdderSharded accumulates uv-domain subgrids onto a sharded grid.
@@ -218,29 +167,11 @@ func (k *Kernels) Splitter(g *grid.Grid, subgrids []*grid.Subgrid) {
 // serially in batch order, which reproduces the serial Adder
 // bit-for-bit. With multiple shards and workers the per-pixel
 // accumulation order depends on scheduling; the result differs from
-// the serial grid only by floating-point reassociation (~1e-15
-// relative, far inside the equivalence suite's 1e-12 bound).
+// the serial grid only by floating-point reassociation. The pass
+// engine does not fan out here: its committer adds one subgrid at a
+// time in plan order, so passes are bitwise at any worker count.
 func (k *Kernels) AdderSharded(subgrids []*grid.Subgrid, sh *grid.Sharded) {
-	if sh.Master().N != k.params.GridSize {
-		panic("core: grid size does not match kernel parameters")
-	}
-	var locks, contended int64
-	if k.shardSerial(len(subgrids), sh) && !k.ob.tracing() {
-		// Direct serial loop: no function values, so the nil-observer
-		// hot path stays allocation-free.
-		for _, s := range subgrids {
-			if s != nil {
-				l, c := sh.AddSubgrid(s)
-				locks += int64(l)
-				contended += int64(c)
-			}
-		}
-	} else {
-		locks, contended = k.eachSubgridSharded(subgrids, sh, sh.AddSubgrid, sh.AddSubgridShard)
-	}
-	if k.ob.enabled() {
-		k.ob.shardBatch(k.ob.sgAdd, countLive(subgrids), locks, contended)
-	}
+	k.shardedBatch(subgrids, sh, true)
 }
 
 // SplitterSharded extracts uv-domain subgrids from a sharded grid
@@ -249,79 +180,94 @@ func (k *Kernels) AdderSharded(subgrids []*grid.Subgrid, sh *grid.Sharded) {
 // Splitter requires a quiescent grid). Each destination subgrid must
 // already carry its anchor (X0, Y0).
 func (k *Kernels) SplitterSharded(sh *grid.Sharded, subgrids []*grid.Subgrid) {
-	if sh.Master().N != k.params.GridSize {
-		panic("core: grid size does not match kernel parameters")
-	}
+	k.shardedBatch(subgrids, sh, false)
+}
+
+// shardedBatch is the shared adder/splitter scaffolding: the serial
+// in-order path with one effective worker or one shard (bitwise
+// deterministic for the adder), the fan-out over subgrids otherwise,
+// and the lock/contention accounting.
+func (k *Kernels) shardedBatch(subgrids []*grid.Subgrid, sh *grid.Sharded, add bool) {
+	k.checkBatch(sh.Master().N, subgrids)
 	var locks, contended int64
-	if k.shardSerial(len(subgrids), sh) && !k.ob.tracing() {
-		for _, s := range subgrids {
-			if s != nil {
-				l, c := sh.CopySubgrid(s)
-				locks += int64(l)
-				contended += int64(c)
-			}
-		}
-	} else {
-		locks, contended = k.eachSubgridSharded(subgrids, sh, sh.CopySubgrid, sh.CopySubgridShard)
-	}
-	if k.ob.enabled() {
-		k.ob.shardBatch(k.ob.sgSplit, countLive(subgrids), locks, contended)
-	}
-}
-
-// shardSerial reports whether a sharded batch of n subgrids runs on
-// the serial in-order path (one effective worker or one shard).
-func (k *Kernels) shardSerial(n int, sh *grid.Sharded) bool {
-	workers := k.params.workers()
-	if workers > n {
-		workers = n
-	}
-	return workers <= 1 || sh.NumShards() == 1
-}
-
-// eachSubgridSharded runs the shared adder/splitter scaffolding: the
-// serial in-order path (one worker or one shard, bitwise-deterministic
-// for the adder), the fan-out over subgrids otherwise, and the
-// lock/contention accounting. whole processes a full subgrid under its
-// shard locks; perShard processes a single (subgrid, shard) overlap
-// and is used instead when the tracer wants per-shard spans.
-func (k *Kernels) eachSubgridSharded(subgrids []*grid.Subgrid, sh *grid.Sharded,
-	whole func(*grid.Subgrid) (int, int), perShard func(*grid.Subgrid, int) bool) (locks, contended int64) {
-	one := func(worker int, s *grid.Subgrid) (l, c int64) {
-		if s == nil {
-			return 0, 0
-		}
-		if !k.ob.tracing() {
-			ll, cc := whole(s)
-			return int64(ll), int64(cc)
-		}
-		lo, hi := sh.ShardOfRow(s.Y0), sh.ShardOfRow(s.Y0+s.N-1)
-		for si := lo; si <= hi; si++ {
-			t0 := time.Now()
-			if perShard(s, si) {
-				c++
-			}
-			l++
-			k.ob.shardDone(worker, si, s.WPlane, t0)
-		}
-		return l, c
-	}
-	workers := k.params.workers()
-	if workers > len(subgrids) {
-		workers = len(subgrids)
-	}
+	workers := min(k.params.workers(), len(subgrids))
 	if workers <= 1 || sh.NumShards() == 1 {
+		// Direct serial loop: no function values, so the nil-observer
+		// hot path stays allocation-free.
 		for _, s := range subgrids {
-			l, c := one(0, s)
+			l, c := k.shardOp(0, s, sh, add)
 			locks += l
 			contended += c
 		}
-		return locks, contended
+	} else {
+		var lockT, contT atomic.Int64
+		fanOut(workers, subgrids, func(worker int, s *grid.Subgrid) {
+			l, c := k.shardOp(worker, s, sh, add)
+			lockT.Add(l)
+			contT.Add(c)
+		})
+		locks, contended = lockT.Load(), contT.Load()
+	}
+	if k.ob.enabled() {
+		c := k.ob.sgSplit
+		if add {
+			c = k.ob.sgAdd
+		}
+		k.ob.shardBatch(c, countLive(subgrids), locks, contended)
+	}
+}
+
+// shardOp adds s onto (add) or copies it out of the sharded grid under
+// the shard locks, returning the locks taken and how many were
+// contended. With a tracer attached each (subgrid, shard) overlap is
+// locked and recorded as its own span.
+func (k *Kernels) shardOp(worker int, s *grid.Subgrid, sh *grid.Sharded, add bool) (locks, contended int64) {
+	if s == nil {
+		return 0, 0
+	}
+	if !k.ob.tracing() {
+		var l, c int
+		if add {
+			l, c = sh.AddSubgrid(s)
+		} else {
+			l, c = sh.CopySubgrid(s)
+		}
+		return int64(l), int64(c)
+	}
+	lo, hi := sh.ShardOfRow(s.Y0), sh.ShardOfRow(s.Y0+s.N-1)
+	for si := lo; si <= hi; si++ {
+		t0 := time.Now()
+		var busy bool
+		if add {
+			busy = sh.AddSubgridShard(s, si)
+		} else {
+			busy = sh.CopySubgridShard(s, si)
+		}
+		if busy {
+			contended++
+		}
+		locks++
+		k.ob.shardDone(worker, si, s.WPlane, t0)
+	}
+	return locks, contended
+}
+
+// fanOut runs fn over the non-nil subgrids on up to workers
+// goroutines (inline with one).
+func fanOut(workers int, subgrids []*grid.Subgrid, fn func(worker int, s *grid.Subgrid)) {
+	workers = min(workers, len(subgrids))
+	if workers <= 1 {
+		for _, s := range subgrids {
+			if s != nil {
+				fn(0, s)
+			}
+		}
+		return
 	}
 	var wg sync.WaitGroup
-	var lockT, contT atomic.Int64
 	ch := make(chan *grid.Subgrid, len(subgrids))
 	for _, s := range subgrids {
+		// Skipped (nil) subgrids of a degraded run carry no data.
 		if s != nil {
 			ch <- s
 		}
@@ -332,14 +278,11 @@ func (k *Kernels) eachSubgridSharded(subgrids []*grid.Subgrid, sh *grid.Sharded,
 		go func(worker int) {
 			defer wg.Done()
 			for s := range ch {
-				l, c := one(worker, s)
-				lockT.Add(l)
-				contT.Add(c)
+				fn(worker, s)
 			}
 		}(w)
 	}
 	wg.Wait()
-	return lockT.Load(), contT.Load()
 }
 
 // countLive counts the non-nil subgrids of a batch (skipped items of a
@@ -352,46 +295,4 @@ func countLive(subgrids []*grid.Subgrid) int {
 		}
 	}
 	return n
-}
-
-// AdderSerialLocked is the ablation alternative to Adder: it
-// parallelizes over subgrids and serializes every grid update behind a
-// single mutex, modelling the "prohibitive synchronization costs" the
-// paper avoids. Only benchmarks use it.
-func (k *Kernels) AdderSerialLocked(subgrids []*grid.Subgrid, g *grid.Grid) {
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	workers := k.params.workers()
-	if workers > len(subgrids) {
-		workers = len(subgrids)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ch := make(chan *grid.Subgrid, len(subgrids))
-	for _, s := range subgrids {
-		ch <- s
-	}
-	close(ch)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range ch {
-				mu.Lock()
-				for c := 0; c < grid.NrCorrelations; c++ {
-					for y := 0; y < s.N; y++ {
-						gy := s.Y0 + y
-						dst := g.Data[c][gy*g.N+s.X0 : gy*g.N+s.X0+s.N]
-						src := s.Data[c][y*s.N : (y+1)*s.N]
-						for x := range dst {
-							dst[x] += src[x]
-						}
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
 }

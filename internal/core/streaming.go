@@ -2,10 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/aterm"
@@ -18,74 +15,40 @@ import (
 
 // NewShardedGrid wraps g in a sharded accessor with the configured
 // shard count (Params.GridShards, defaulting to one shard per worker).
+// The shard count sizes the row-band locks only; it never changes the
+// bits a pass produces.
 func (k *Kernels) NewShardedGrid(g *grid.Grid) *grid.Sharded {
 	return grid.NewSharded(g, k.params.gridShards())
 }
 
-// streamAccounting tracks the scheduler's in-flight state: how many
-// chunks are currently between gridder and adder, and the high-water
-// mark of simultaneously alive subgrids (the number the memory bound
-// MaxInflightChunks x StreamChunkItems promises to cap).
-type streamAccounting struct {
-	inflight     atomic.Int64
-	liveSubgrids atomic.Int64
-	peakSubgrids atomic.Int64
-}
-
-func (a *streamAccounting) acquire(subgrids int) {
-	a.inflight.Add(1)
-	live := a.liveSubgrids.Add(int64(subgrids))
-	for {
-		peak := a.peakSubgrids.Load()
-		if live <= peak || a.peakSubgrids.CompareAndSwap(peak, live) {
-			return
-		}
-	}
-}
-
-func (a *streamAccounting) release(subgrids int) (inflight int64) {
-	a.liveSubgrids.Add(int64(-subgrids))
-	return a.inflight.Add(-1)
-}
-
-// GridVisibilitiesStreamed runs the gridding pass as a stream of
-// chunks: the plan is cut into chunks of at most Params.StreamChunkItems
-// work items (plan order preserved), and up to Params.MaxInflightChunks
-// chunks are in flight at once, each flowing grid -> FFT -> add as a
-// unit before its subgrids return to the pool. The chunk is the unit
-// of parallelism — inside a chunk items run serially on the owning
-// worker — so peak subgrid memory is bounded by
-// min(workers, MaxInflightChunks) x StreamChunkItems subgrids
-// regardless of observation length, which is what lets a streamed pass
-// grid observations larger than memory.
+// GridVisibilitiesStreamed runs the gridding pass onto the sharded
+// grid sh through the pass engine (engine.go), with its streaming
+// guarantees spelled out: the plan is processed in chunks of
+// Params.StreamChunkItems work items, and at most
+// Params.MaxInflightChunks chunks are between gridder and commit at
+// once, so peak subgrid memory is bounded by
+// MaxInflightChunks x StreamChunkItems subgrids regardless of
+// observation length — which is what lets a streamed pass grid
+// observations larger than memory. Chunks are committed onto sh in
+// plan order by one writer, so the grid is bitwise equal to the serial
+// pass at every worker count, shard count, chunk size and window, and
+// SplitterSharded stays coherent against a running pass.
 //
-// Accumulation goes through the sharded adder onto sh: overlapping
-// chunks contend only on shared row bands. With Workers <= 1 or one
-// shard the chunks (and their items) run in exact plan order and the
-// result is bit-for-bit identical to the serial batch pipeline;
-// otherwise it differs only by floating-point reassociation.
-//
-// With Params.CheckpointDir set the stream is processed in epochs of
-// Params.CheckpointEvery chunks; at each epoch boundary the scheduler
-// quiesces and writes a durable snapshot (grid, chunk cursor, fault
-// counters — see internal/checkpoint), including a final one at the
-// end of the plan. ResumeVisibilitiesStreamed continues from such a
-// snapshot and its result is bit-identical to the uninterrupted run
-// under the same ordering guarantees as above.
+// With Params.CheckpointDir set the committer writes a durable
+// snapshot (grid, chunk cursor, fault counters — see
+// internal/checkpoint) every Params.CheckpointEvery committed chunks
+// and once more at the end of the plan. ResumeVisibilitiesStreamed
+// continues from such a snapshot; its result is bitwise equal to the
+// uninterrupted run.
 //
 // On cancellation the error matches both faulttol.ErrCanceled and the
 // context's cause, even when the cancellation surfaced inside a retry
-// loop. The grid then holds exactly the chunks whose add stage
-// completed before the cancellation — every value finite and correct,
-// but only a prefix-plus-stragglers subset of the plan — so a partial
-// grid is useful for checkpointing but not as an image.
-//
-// GridVisibilitiesFT routes here automatically when
-// Params.GridShards, Params.MaxInflightChunks or Params.CheckpointDir
-// opt in.
+// loop. The grid then holds exactly the chunks committed before the
+// cancellation — an exact plan prefix, every value finite and correct
+// — so a partial grid is useful for checkpointing but not as an image.
 func (k *Kernels) GridVisibilitiesStreamed(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, sh *grid.Sharded, ft faulttol.Config) (StageTimes, *faulttol.Report, error) {
 	rep := faulttol.NewReport(ft)
-	times, err := k.gridStreamed(ctx, p, vs, prov, sh, ft, rep, 0)
+	times, err := k.runPass(ctx, p, vs, prov, sh, nil, ft, rep, 0)
 	return times, rep, err
 }
 
@@ -94,9 +57,8 @@ func (k *Kernels) GridVisibilitiesStreamed(ctx context.Context, p *plan.Plan, vs
 // from a checkpoint — processing only the remaining chunks. rep
 // carries the restored fault counters forward (nil allocates a fresh
 // report). The chunking must match the interrupted run
-// (StreamChunkItemsResolved); with the bit-reproducible settings
-// (Workers <= 1, one shard) the resumed grid is bit-identical to an
-// uninterrupted pass.
+// (StreamChunkItemsResolved); the resumed grid is then bitwise equal
+// to an uninterrupted pass.
 func (k *Kernels) ResumeVisibilitiesStreamed(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, sh *grid.Sharded, ft faulttol.Config, rep *faulttol.Report, startChunk int) (StageTimes, error) {
 	if rep == nil {
 		rep = faulttol.NewReport(ft)
@@ -104,282 +66,7 @@ func (k *Kernels) ResumeVisibilitiesStreamed(ctx context.Context, p *plan.Plan, 
 	if startChunk > 0 {
 		k.ob.checkpointRestored()
 	}
-	return k.gridStreamed(ctx, p, vs, prov, sh, ft, rep, startChunk)
-}
-
-// gridStreamed is the scheduler shared by fresh and resumed streamed
-// passes: it processes chunks [startChunk, len) in checkpoint epochs.
-func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, sh *grid.Sharded, ft faulttol.Config, rep *faulttol.Report, startChunk int) (StageTimes, error) {
-	var times StageTimes
-	if err := k.checkPlan(p, vs); err != nil {
-		return times, err
-	}
-	if sh.Master().N != k.params.GridSize {
-		return times, fmt.Errorf("core: sharded grid size %d != kernel grid size %d",
-			sh.Master().N, k.params.GridSize)
-	}
-	chunks := p.StreamChunks(k.params.chunkItems())
-	if startChunk < 0 || startChunk > len(chunks) {
-		return times, fmt.Errorf("core: resume cursor %d outside the plan's %d chunks", startChunk, len(chunks))
-	}
-	if startChunk == len(chunks) {
-		// Nothing left to grid (also covers an empty plan).
-		return times, ctxErr(ctx)
-	}
-	// The A-term cache is not write-safe concurrently: warm it for the
-	// whole plan up front, so every worker Get is a read-only hit.
-	cache := k.newATermCache(prov)
-	k.prefillATerms(cache, p.Items, vs.Baselines)
-
-	workers := k.params.workers()
-	if m := k.params.maxInflight(); workers > m {
-		workers = m
-	}
-	if workers > len(chunks)-startChunk {
-		workers = len(chunks) - startChunk
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	attempts := ft.Attempts()
-	budget := faulttol.NewBackoffBudget(ft)
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-
-	var acct streamAccounting
-	var gridNs, fftNs, addNs atomic.Int64
-
-	// runChunk pumps one chunk through grid -> FFT -> add on the
-	// calling worker. Items run serially (par 1): chunk-level
-	// parallelism saturates the pool, so intra-item tile fan-out would
-	// only add scheduling overhead.
-	runChunk := func(worker int, c plan.Chunk, s *scratch, subgrids []*grid.Subgrid) {
-		acct.acquire(len(c.Items))
-		defer func() {
-			k.releaseSubgrids(subgrids)
-			k.ob.chunkDone(acct.release(len(c.Items)))
-		}()
-		wp := planeOf(c.Items)
-
-		gt0 := k.ob.now()
-		t0 := time.Now()
-		for i := range c.Items {
-			if runCtx.Err() != nil {
-				return
-			}
-			item := c.Items[i]
-			it0 := k.ob.now()
-			var err error
-			made := 0
-			for a := 1; a <= attempts; a++ {
-				made = a
-				err = faulttol.Run(func() error {
-					if ft.Hook != nil {
-						ft.Hook(item, a)
-					}
-					sgr := subgrids[i]
-					if sgr == nil {
-						sgr = k.getSubgrid(item.X0, item.Y0)
-						subgrids[i] = sgr
-					}
-					sgr.X0, sgr.Y0 = item.X0, item.Y0
-					sgr.WOffset, sgr.WPlane = item.WOffset, item.WPlane
-					vis := s.visBuf(item.NrVisibilities())
-					vs.gather(item, vis)
-					if k.ob.enabled() {
-						k.ob.flaggedVis(vs.countFlagged(item))
-					}
-					ap, aq := k.lookupATerms(cache, vs.Baselines, item)
-					k.gridSubgridScratch(item, vs.itemUVW(item), vis, ap, aq, sgr, s, 1)
-					if !sgr.Finite() {
-						return fmt.Errorf("%w: non-finite subgrid (corrupt unflagged visibilities)",
-							faulttol.ErrBadInput)
-					}
-					return nil
-				})
-				if err == nil {
-					rep.RecordSuccess(a > 1)
-					k.ob.itemDone(obs.StageGrid, c.Index, worker, i, item, a, it0)
-					break
-				}
-				k.ob.attemptFailed(err)
-				if errors.Is(err, faulttol.ErrBadInput) || runCtx.Err() != nil {
-					break
-				}
-				// Deterministic exponential backoff before the next
-				// attempt, metered against the run's retry budget:
-				// when the budget is spent (or the run is canceled)
-				// the item takes its terminal path now.
-				if a < attempts && !budget.Sleep(runCtx, ft.BackoffDelay(a+1)) {
-					break
-				}
-			}
-			if err != nil {
-				// Failed items leave a poisoned subgrid behind; drop it
-				// so the FFT/add stages pass over the slot.
-				if subgrids[i] != nil {
-					k.putSubgrid(subgrids[i])
-					subgrids[i] = nil
-				}
-				ie := &faulttol.ItemError{
-					Baseline:  item.Baseline,
-					TimeStart: item.TimeStart,
-					Channel0:  item.Channel0,
-					Attempts:  made,
-					Err:       err,
-				}
-				if ft.Policy == faulttol.SkipAndFlag {
-					rep.RecordSkip(ie, int64(item.NrVisibilities()))
-					k.ob.itemSkipped(item)
-					continue
-				}
-				if ctx.Err() != nil {
-					// The caller canceled the run; the item failure is
-					// a casualty of the cancellation, not its cause —
-					// report ErrCanceled, not the item error.
-					return
-				}
-				fail(ie)
-				return
-			}
-		}
-		d := time.Since(t0)
-		gridNs.Add(d.Nanoseconds())
-		k.ob.stageDone(obs.StageGrid, c.Index, wp, gt0, d)
-
-		if runCtx.Err() != nil {
-			return
-		}
-		ft0 := k.ob.now()
-		t0 = time.Now()
-		for _, sgr := range subgrids {
-			if sgr != nil {
-				k.fftSubgridOne(sgr, false)
-			}
-		}
-		d = time.Since(t0)
-		fftNs.Add(d.Nanoseconds())
-		k.ob.stageDone(obs.StageFFT, c.Index, wp, ft0, d)
-		if k.ob.enabled() {
-			k.ob.subgrids(k.ob.sgFFT, countLive(subgrids))
-		}
-
-		if runCtx.Err() != nil {
-			return
-		}
-		at0 := k.ob.now()
-		t0 = time.Now()
-		k.AdderSharded(subgrids, sh)
-		d = time.Since(t0)
-		addNs.Add(d.Nanoseconds())
-		k.ob.stageDone(obs.StageAdd, c.Index, wp, at0, d)
-	}
-
-	// Chunks are dispatched in checkpoint epochs: all chunks of
-	// [lo, hi) complete (a quiescent barrier), then the snapshot
-	// covering [0, hi) is written. Epoch boundaries are aligned to
-	// multiples of the period from chunk 0, so a resumed run
-	// checkpoints at the same cursors as an uninterrupted one. Without
-	// checkpointing there is a single epoch and no barrier.
-	ckptEvery := 0
-	if k.params.checkpointEnabled() {
-		ckptEvery = k.params.checkpointEvery()
-	}
-	epochEnd := func(lo int) int {
-		if ckptEvery <= 0 {
-			return len(chunks)
-		}
-		hi := (lo/ckptEvery + 1) * ckptEvery
-		if hi > len(chunks) {
-			hi = len(chunks)
-		}
-		return hi
-	}
-
-	var ckptErr error
-	if workers == 1 {
-		// Serial dispatch in chunk order: with one shard this is the
-		// bit-for-bit reference ordering. Checkpoint events fire on
-		// this goroutine, so an injected crash unwinds the whole pass.
-		s := k.getScratch()
-		subgrids := make([]*grid.Subgrid, k.params.chunkItems())
-		for lo := startChunk; lo < len(chunks) && ckptErr == nil && runCtx.Err() == nil; {
-			hi := epochEnd(lo)
-			for ci := lo; ci < hi; ci++ {
-				if runCtx.Err() != nil {
-					break
-				}
-				c := chunks[ci]
-				runChunk(0, c, s, subgrids[:len(c.Items)])
-				if runCtx.Err() == nil {
-					k.fireCheckpointHook(checkpoint.EventChunkCommitted, c.Index)
-				}
-			}
-			if ckptEvery > 0 && runCtx.Err() == nil {
-				ckptErr = k.writeStreamCheckpoint(p, sh, hi, rep)
-			}
-			lo = hi
-		}
-		k.putScratch(s)
-	} else {
-		for lo := startChunk; lo < len(chunks) && ckptErr == nil && runCtx.Err() == nil; {
-			hi := epochEnd(lo)
-			var wg sync.WaitGroup
-			var next atomic.Int64
-			next.Store(int64(lo))
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(worker int) {
-					defer wg.Done()
-					s := k.getScratch()
-					defer k.putScratch(s)
-					subgrids := make([]*grid.Subgrid, k.params.chunkItems())
-					for runCtx.Err() == nil {
-						ci := int(next.Add(1)) - 1
-						if ci >= hi {
-							return
-						}
-						c := chunks[ci]
-						runChunk(worker, c, s, subgrids[:len(c.Items)])
-					}
-				}(w)
-			}
-			wg.Wait()
-			// Concurrent workers commit chunks out of order, so the
-			// per-chunk EventChunkCommitted is not fired here; the
-			// epoch barrier is the only consistent point.
-			if ckptEvery > 0 && runCtx.Err() == nil {
-				ckptErr = k.writeStreamCheckpoint(p, sh, hi, rep)
-			}
-			lo = hi
-		}
-	}
-
-	k.ob.streamPeak(acct.peakSubgrids.Load())
-	times.Gridder = time.Duration(gridNs.Load())
-	times.SubgridFFT = time.Duration(fftNs.Load())
-	times.Adder = time.Duration(addNs.Load())
-	if budget.Exhausted() {
-		rep.AddNote("faulttol: retry backoff budget exhausted; remaining failures were not retried")
-	}
-	if firstErr != nil {
-		return times, firstErr
-	}
-	if ckptErr != nil {
-		return times, ckptErr
-	}
-	return times, ctxErr(ctx)
+	return k.runPass(ctx, p, vs, prov, sh, nil, ft, rep, startChunk)
 }
 
 // fireCheckpointHook invokes the crash-injection hook at a checkpoint
@@ -392,9 +79,9 @@ func (k *Kernels) fireCheckpointHook(ev checkpoint.Event, chunk int) {
 	}
 }
 
-// writeStreamCheckpoint durably snapshots the pass at a quiescent
-// epoch barrier: chunks [0, cursor) are fully accumulated onto sh and
-// no worker is in flight.
+// writeStreamCheckpoint durably snapshots the pass from the committer:
+// chunks [0, cursor) are fully accumulated onto sh, and no other
+// goroutine writes the grid or the report while the committer works.
 func (k *Kernels) writeStreamCheckpoint(p *plan.Plan, sh *grid.Sharded, cursor int, rep *faulttol.Report) error {
 	k.fireCheckpointHook(checkpoint.EventBeforeWrite, cursor-1)
 	t0 := time.Now()
@@ -416,7 +103,7 @@ func (k *Kernels) writeStreamCheckpoint(p *plan.Plan, sh *grid.Sharded, cursor i
 	return nil
 }
 
-// PeakInflightSubgrids returns the high-water mark the latest streamed
+// PeakInflightSubgrids returns the high-water mark the latest gridding
 // pass published to the observer's GaugeStreamPeakSubgrids, or 0
 // without an observer. Tests use it to check the streaming memory
 // bound.

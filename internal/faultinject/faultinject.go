@@ -150,8 +150,7 @@ func (k Kill) String() string {
 // atChunk (use atChunk < 0 for the first occurrence of ev at all).
 // The hook fires at most once, so a resumed run that installs the
 // same hook value is not re-killed. Crash points are deterministic:
-// the scheduler fires checkpoint events from its coordinating
-// goroutine in chunk order.
+// the pass engine's committer fires checkpoint events in chunk order.
 func CrashHook(ev checkpoint.Event, atChunk int) checkpoint.Hook {
 	var fired atomic.Bool
 	return func(e checkpoint.Event, chunk int) {

@@ -23,9 +23,9 @@ type SessionConfig struct {
 	GridMargin     int     `json:"grid_margin"`
 	ATermInterval  int     `json:"aterm_interval"`
 	// Workers bounds the session's gridding parallelism (0: host
-	// default; 1 makes the pass bit-reproducible).
+	// default). The grid's bits do not depend on it.
 	Workers int `json:"workers,omitempty"`
-	// GridShards and MaxInflightChunks are the PR 5 streaming knobs. A
+	// GridShards and MaxInflightChunks are the streaming knobs. A
 	// zero MaxInflightChunks is resolved to the server's
 	// SessionInflightDefault at admission, so every session holds a
 	// finite share of its tenant's in-flight budget.

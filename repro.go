@@ -135,19 +135,18 @@ type ObservationConfig struct {
 	// Precision selects the kernel compute precision (default Float64;
 	// see Params.Precision).
 	Precision Precision
-	// GridShards splits the uv-grid into independently locked row
-	// bands and routes gridding through the sharded streaming
-	// scheduler; 0 keeps the classic batch pipeline (see
+	// GridShards is the number of independently locked row bands of
+	// the sharded grid GridAllStreamed accumulates onto; 0 selects one
+	// per worker. It never changes a pass's bits (see
 	// Params.GridShards).
 	GridShards int
-	// MaxInflightChunks bounds the streaming scheduler's in-flight
-	// chunks — and with it peak subgrid memory (see
+	// MaxInflightChunks bounds the chunks a pass keeps between pull
+	// and commit — and with it peak subgrid memory (see
 	// Params.MaxInflightChunks).
 	MaxInflightChunks int
-	// CheckpointDir, when non-empty, makes streamed gridding passes
-	// write durable snapshots into this directory and enables
-	// Observation.ResumeStreamed; setting it routes gridding through
-	// the streaming scheduler (see Params.CheckpointDir).
+	// CheckpointDir, when non-empty, makes gridding passes write
+	// durable snapshots into this directory and enables
+	// Observation.ResumeStreamed (see Params.CheckpointDir).
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint period in streamed chunks
 	// (0 with a CheckpointDir: a default period; setting it without

@@ -34,6 +34,12 @@ go test -race -count=2 ./internal/faultinject/ ./internal/faulttol/
 # mid-reduction, and relaunch-with-resume, all under the race
 # detector.
 go test -race -run 'Facade|Chaos|Cancel|Shard|Soak|Streamed|Checkpoint|Resume|Kill|Distrib' . ./internal/core/ ./internal/checkpoint/ ./internal/distrib/
+# The pass engine's ordered commit raced at GOMAXPROCS 1, 2 and 4:
+# passes default to one worker per GOMAXPROCS, so this races commit
+# hand-offs with more workers than a small host has cores, and every
+# golden, streamed, checkpoint, resume and chaos test must still hash
+# to its bitwise reference.
+go test -race -cpu 1,2,4 -run 'Golden|Streamed|Checkpoint|Resume|Chaos' . ./internal/core/
 # Server integration pass: build the service binaries, boot idgserver
 # on a kernel-assigned port, replay a short multi-tenant idgload run
 # with -verify (every session's grid SHA-256 checked against the

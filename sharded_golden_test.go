@@ -9,12 +9,11 @@ import (
 	"repro/internal/core"
 )
 
-// shardedGoldenObservation is goldenObservation with the streaming
-// scheduler opted in: same pinned dataset and serial reference kernels,
-// plus the given shard count. With shards == 1 (and the fixture's
-// Workers == 1) the streamed pass must reproduce the committed golden
-// hash bit-for-bit — chunking and sharding are pure reorganizations of
-// the same serial arithmetic.
+// shardedGoldenObservation is goldenObservation with the given shard
+// count: same pinned dataset and serial reference kernels. The
+// streamed pass must reproduce the committed golden hash bit-for-bit —
+// chunking and sharding are pure reorganizations of the same serial
+// arithmetic.
 func shardedGoldenObservation(t *testing.T, shards int) *Observation {
 	t.Helper()
 	o := goldenObservation(t)
@@ -60,18 +59,15 @@ func TestShardedGoldenConformance(t *testing.T) {
 	}
 }
 
-// TestShardedGoldenMultiShard checks the relaxed side of the claim:
-// with several shards (and several workers) the accumulation order is
-// scheduler-dependent, so the grid may differ from the serial
-// reference — but only by floating-point reassociation, bounded at
-// 1e-12 of the grid peak.
+// TestShardedGoldenMultiShard: with several shards and several
+// workers the pass still commits in plan order through one writer, so
+// the grid is bitwise equal to the serial reference.
 func TestShardedGoldenMultiShard(t *testing.T) {
 	ref := goldenObservation(t)
 	refGrid, _, err := ref.GridAll(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peak := fingerprintGrid(refGrid).PeakAbs
 
 	for _, shards := range []int{3, 5} {
 		o := shardedGoldenObservation(t, shards)
@@ -87,9 +83,9 @@ func TestShardedGoldenMultiShard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := g.MaxAbsDiff(refGrid); d > 1e-12*peak {
-			t.Errorf("shards=%d: streamed grid deviates %g from the serial golden grid (bound %g)",
-				shards, d, 1e-12*peak)
+		if d := g.MaxAbsDiff(refGrid); d != 0 {
+			t.Errorf("shards=%d: streamed grid differs bitwise from the serial golden grid (max diff %g)",
+				shards, d)
 		}
 	}
 }
