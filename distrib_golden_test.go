@@ -65,7 +65,7 @@ func distribGoldenOptions(t *testing.T, workers int, axis DistribAxis) DistribOp
 }
 
 // distribSerialReference grids the same observation single-process
-// through the streamed scheduler (the goldenObservation path).
+// through the pass engine (the goldenObservation path).
 func distribSerialReference(t *testing.T) *Grid {
 	t.Helper()
 	o := goldenObservation(t)

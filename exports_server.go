@@ -158,8 +158,8 @@ func planKey(c ObservationConfig) string {
 // ServerBackend implements the server's gridding backend on the
 // facade: session configs become Observations (through the read-mostly
 // plan cache), streamed wire samples fill their visibilities, and
-// finalize runs the PR 5 streamed scheduler — checkpointing via PR 6
-// when the session opted in.
+// finalize runs the streamed gridding pass — checkpointing when the
+// session opted in.
 type ServerBackend struct {
 	// Fault is the per-item failure policy of session gridding passes
 	// (zero value: fail fast). The soak suite injects chaos hooks here.

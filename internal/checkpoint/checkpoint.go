@@ -1,11 +1,11 @@
 // Package checkpoint implements durable snapshots of a streamed
 // gridding pass: the partially accumulated uv-grid, the chunk cursor
-// of the streaming scheduler, and the fault-tolerance counters, in a
-// versioned binary format protected by a SHA-256 content digest and
-// written with temp-file + atomic-rename durability. A run killed at
-// hour N resumes from its last snapshot instead of regridding hours
-// 1..N — the robustness layer the ROADMAP's multi-node and
-// gridding-as-a-service items assume.
+// of the pass engine's in-order commit, and the fault-tolerance
+// counters, in a versioned binary format protected by a SHA-256
+// content digest and written with temp-file + atomic-rename
+// durability. A run killed at hour N resumes from its last snapshot
+// instead of regridding hours 1..N — the robustness layer the
+// ROADMAP's multi-node and gridding-as-a-service items assume.
 //
 // # Format
 //
@@ -92,10 +92,10 @@ type Event int
 
 const (
 	// EventChunkCommitted fires after a chunk's subgrids are added to
-	// the grid but before any checkpoint covers it (serial scheduler
-	// only; concurrent workers commit chunks out of order).
+	// the grid but before any checkpoint covers it, once per chunk in
+	// plan order.
 	EventChunkCommitted Event = iota + 1
-	// EventBeforeWrite fires at a checkpoint barrier before the
+	// EventBeforeWrite fires at a checkpoint cursor before the
 	// snapshot file is opened.
 	EventBeforeWrite
 	// EventBeforeRename fires after the snapshot temp file is written

@@ -111,11 +111,11 @@ func TestShardedAddSplitRaceSoak(t *testing.T) {
 	}
 }
 
-// TestStreamedRaceSoakWithFaults runs the streaming scheduler with an
+// TestStreamedRaceSoakWithFaults runs streamed passes with an
 // observer attached and a deterministic panic hook corrupting a slice
 // of the plan, twice concurrently onto independent sharded grids. It
-// soaks every shared structure of the streamed path at once — chunk
-// dispatch atomics, shard locks, the fault report, metric counters and
+// soaks every shared structure of the streamed path at once — the
+// engine's pull and commit state, shard locks, the fault report, metric counters and
 // the tracer ring — and then checks the degradation accounting still
 // balances item-for-item.
 func TestStreamedRaceSoakWithFaults(t *testing.T) {

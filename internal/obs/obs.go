@@ -105,11 +105,10 @@ const (
 	// the write-contention probability; raise Params.GridShards when it
 	// climbs.
 	MetricShardContention = "grid_shard_contention_total"
-	// MetricStreamChunks counts work chunks completed by the streaming
-	// scheduler.
+	// MetricStreamChunks counts chunks committed by gridding passes.
 	MetricStreamChunks = "stream_chunks_total"
-	// GaugeStreamInflight holds the number of chunks currently in
-	// flight in the streaming scheduler (grid -> FFT -> add).
+	// GaugeStreamInflight holds the number of chunks between pull and
+	// commit in a gridding pass.
 	GaugeStreamInflight = "stream_inflight_chunks"
 	// GaugeStreamPeakSubgrids holds the peak number of subgrids
 	// simultaneously alive during the latest streamed pass; the memory

@@ -2,9 +2,9 @@
 // multi-tenant HTTP server in which clients open observation sessions,
 // stream visibility chunks over a length-prefixed binary wire format,
 // and fetch the finished grid. It composes the existing layers behind
-// a network boundary — the PR 5 streamed scheduler bounds per-session
-// memory (MaxInflightChunks), the PR 6 checkpoints make drained
-// sessions resumable, and the PR 4 observability layer meters every
+// a network boundary — the pass engine bounds per-session
+// memory (MaxInflightChunks), checkpoints make drained sessions
+// resumable, and the observability layer meters every
 // session stage — without importing the facade: the gridding itself is
 // injected through the Backend interface, which the root package
 // implements on Observation.
